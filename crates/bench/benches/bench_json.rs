@@ -11,7 +11,7 @@ use rosebud_bench::sim_speed::{compare, Scenario};
 use rosebud_bench::{bench_output_path, json_f64, measure};
 use rosebud_core::{
     FaultKind, FaultPlan, Fleet, FleetConfig, FleetHarness, FleetSupervisor, FleetSupervisorConfig,
-    Harness, KernelMode, Supervisor, SupervisorConfig,
+    Harness, Supervisor, SupervisorConfig,
 };
 use rosebud_kernel::RateWindow;
 use rosebud_net::{FixedSizeGen, FlowTrafficGen};
@@ -128,7 +128,6 @@ fn fleet_point() -> FleetBench {
             boxes: BOXES,
             ..FleetConfig::default()
         },
-        KernelMode::Sequential,
         |_| build_watchdog_forwarding_system(4, 64).expect("valid config"),
     )
     .expect("valid fleet config");
@@ -176,11 +175,11 @@ fn fleet_point() -> FleetBench {
     }
 }
 
-/// One kernel sim-speed point at 16 RPUs, decode cache on.
+/// One sim-speed point at 16 RPUs, decode cache on: awake vs elided sweep.
 struct SimSpeed {
     scenario: &'static str,
-    sequential_ns_per_cycle: f64,
-    parallel_ns_per_cycle: f64,
+    awake_ns_per_cycle: f64,
+    elided_ns_per_cycle: f64,
     speedup: f64,
 }
 
@@ -192,12 +191,12 @@ fn sim_speed_points() -> Vec<SimSpeed> {
     ]
     .into_iter()
     .map(|scenario| {
-        let (seq, par) = compare(scenario, 16);
+        let (awake, elided) = compare(scenario, 16);
         SimSpeed {
             scenario: scenario.name(),
-            sequential_ns_per_cycle: seq,
-            parallel_ns_per_cycle: par,
-            speedup: seq / par,
+            awake_ns_per_cycle: awake,
+            elided_ns_per_cycle: elided,
+            speedup: awake / elided,
         }
     })
     .collect()
@@ -248,11 +247,11 @@ fn main() {
     json.push_str("  \"sim_speed\": [\n");
     for (i, p) in sim_speed.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"rpus\": 16, \"sequential_ns_per_cycle\": {}, \
-             \"parallel_ns_per_cycle\": {}, \"speedup\": {}}}{}\n",
+            "    {{\"scenario\": \"{}\", \"rpus\": 16, \"awake_ns_per_cycle\": {}, \
+             \"elided_ns_per_cycle\": {}, \"speedup\": {}}}{}\n",
             p.scenario,
-            json_f64(p.sequential_ns_per_cycle),
-            json_f64(p.parallel_ns_per_cycle),
+            json_f64(p.awake_ns_per_cycle),
+            json_f64(p.elided_ns_per_cycle),
             json_f64(p.speedup),
             if i + 1 < sim_speed.len() { "," } else { "" },
         ));

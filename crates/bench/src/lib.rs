@@ -71,19 +71,19 @@ pub fn versus(measured: f64, paper: f64) -> String {
     format!("{measured:8.1} vs {paper:8.1}  ({dev:+5.1}%)")
 }
 
-/// Scenario builders and measurement loop for the kernel sim-speed
-/// comparison (`benches/sim_speed.rs`, the CI smoke job, and the
+/// Scenario builders and measurement loop for the quiescent-lane elision
+/// sim-speed comparison (`benches/sim_speed.rs`, the CI smoke job, and the
 /// `sim_speed` section of `BENCH_rosebud.json`).
 pub mod sim_speed {
     use std::time::Instant;
 
     use rosebud_apps::forwarder::{duty_cycle_forwarder_asm, forwarder_image};
-    use rosebud_core::{Harness, KernelMode, Rosebud, RosebudConfig, RoundRobinLb, RpuProgram};
+    use rosebud_core::{Harness, Rosebud, RosebudConfig, RoundRobinLb, RpuProgram};
     use rosebud_net::FixedSizeGen;
     use rosebud_riscv::assemble;
 
     /// The three workload shapes the comparison reports. They span the
-    /// kernel's envelope: busy-poll firmware never sleeps (worst case for
+    /// sweep's envelope: busy-poll firmware never sleeps (worst case for
     /// quiescent-lane elision), duty-cycled firmware parks in `wfi`
     /// between timer alarms (the representative middlebox idle pattern),
     /// and a fully parked fleet is the elision ceiling.
@@ -116,17 +116,16 @@ pub mod sim_speed {
         }
     }
 
-    /// Builds the scenario's system under the given kernel. The decoded-
+    /// Builds the scenario's system with elision on or off. The decoded-
     /// instruction cache is always on — it is a pure speed knob and part of
-    /// both kernels' default configuration.
-    pub fn build(scenario: Scenario, rpus: usize, kernel: KernelMode) -> Harness {
-        let sys: Rosebud = match scenario {
+    /// the default configuration.
+    pub fn build(scenario: Scenario, rpus: usize, elide: bool) -> Harness {
+        let mut sys: Rosebud = match scenario {
             Scenario::BusyPollLoaded => {
                 let image = forwarder_image();
                 Rosebud::builder(RosebudConfig::with_rpus(rpus))
                     .load_balancer(Box::new(RoundRobinLb::new()))
                     .firmware(move |_| RpuProgram::Riscv(image.clone()))
-                    .kernel(kernel)
                     .build()
                     .expect("valid config")
             }
@@ -136,7 +135,6 @@ pub mod sim_speed {
                 Rosebud::builder(RosebudConfig::with_rpus(rpus))
                     .load_balancer(Box::new(RoundRobinLb::new()))
                     .firmware(move |_| RpuProgram::Riscv(image.clone()))
-                    .kernel(kernel)
                     .build()
                     .expect("valid config")
             }
@@ -144,11 +142,11 @@ pub mod sim_speed {
                 let image = assemble("csrw mie, zero\nwfi\nebreak").expect("parks");
                 Rosebud::builder(RosebudConfig::with_rpus(rpus))
                     .firmware(move |_| RpuProgram::Riscv(image.clone()))
-                    .kernel(kernel)
                     .build()
                     .expect("valid config")
             }
         };
+        sys.set_elision(elide);
         Harness::new(
             sys,
             Box::new(FixedSizeGen::new(256, 2)),
@@ -170,22 +168,14 @@ pub mod sim_speed {
         best * 1e9 / cycles as f64
     }
 
-    /// One comparison point: `(sequential ns/cycle, parallel ns/cycle)`.
-    /// The parallel side is the fused coordinator (`workers: 0`) — the
-    /// configuration that carries quiescent-lane elision.
+    /// One comparison point: `(awake ns/cycle, elided ns/cycle)` — every
+    /// lane swept every cycle versus quiescent-lane elision on.
     pub fn compare(scenario: Scenario, rpus: usize) -> (f64, f64) {
-        let mut seq = build(scenario, rpus, KernelMode::Sequential);
-        let mut par = build(
-            scenario,
-            rpus,
-            KernelMode::Parallel {
-                workers: 0,
-                quantum: 1024,
-            },
-        );
+        let mut awake = build(scenario, rpus, false);
+        let mut elided = build(scenario, rpus, true);
         (
-            ns_per_cycle(&mut seq, 10_000, 150_000, 5),
-            ns_per_cycle(&mut par, 10_000, 150_000, 5),
+            ns_per_cycle(&mut awake, 10_000, 150_000, 5),
+            ns_per_cycle(&mut elided, 10_000, 150_000, 5),
         )
     }
 }

@@ -131,6 +131,11 @@ impl RosebudConfig {
         if self.num_rpus == 0 {
             return Err("need at least one RPU".into());
         }
+        // The LB enable mask, per-lane bitmaps and trace events hold one
+        // bit (or one byte) per RPU.
+        if self.num_rpus > 64 {
+            return Err("at most 64 RPUs are supported".into());
+        }
         if self.num_ports == 0 || self.num_ports > 8 {
             return Err("port count must be 1–8".into());
         }
@@ -182,6 +187,14 @@ mod tests {
         let mut cfg = RosebudConfig::with_rpus(8);
         cfg.slots_per_rpu = 32;
         cfg.slot_bytes = 64 * 1024; // 2 MB > 1 MB pmem
+        assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validation_caps_rpus_at_sixty_four() {
+        let mut cfg = RosebudConfig::with_rpus(64);
+        assert!(cfg.validate().is_ok());
+        cfg.num_rpus = 65;
         assert!(cfg.validate().is_err());
     }
 

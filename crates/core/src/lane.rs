@@ -1,173 +1,25 @@
-//! One RPU "lane": the RPU plus its private ingress/egress links, and the
-//! fused per-cycle lane phase the parallel kernel runs.
+//! One RPU "lane": the RPU plus its private ingress/egress links.
 //!
-//! The sequential reference kernel advances the system stage by stage, each
-//! stage sweeping all RPUs (see [`crate::Rosebud::tick`]). Stages 4–6 — the
-//! per-RPU link pop + DMA delivery, the core/accelerator tick, and the
-//! committed-send pop — only ever touch state belonging to a single RPU,
-//! *except* for a handful of shared-resource side effects: slot-tracker
-//! releases, conservation-ledger counts, the routed-drop counter, and trace
-//! events. The parallel kernel exploits this: each lane runs its three
-//! stages fused in one pass (possibly on a worker thread), records the
-//! would-be shared effects in [`LaneFx`], and the coordinator replays them
-//! at the cycle barrier in stage-major, lane-ascending order — the exact
-//! order the sequential kernel produces them. Architectural state, counters
-//! and traces are therefore byte-identical between kernels.
+//! [`crate::Rosebud::tick`] advances the system stage by stage, each stage
+//! sweeping the lanes in ascending order. Stages 4–6 — the per-RPU link pop
+//! and DMA delivery, the core/accelerator tick, and the committed-send push
+//! — touch only one lane's state plus the shared slot tracker, ledger and
+//! tracer, so a lane whose stages are provably the identity can be skipped
+//! (quiescent-lane elision). Its quiet horizon lives in the system's dense
+//! `lane_quiet` vector, not here, so the sweep decides who is awake without
+//! touching a sleeping lane.
 
-use rosebud_kernel::{Cycle, Serializer};
+use rosebud_kernel::Serializer;
 
 use crate::fabric::{EgressItem, IngressItem};
 use crate::rpu::Rpu;
 
 /// An RPU plus its private distribution links.
 pub(crate) struct Lane {
-    /// Quiescent-lane elision (parallel kernel only): the first cycle at
-    /// which this lane's phase could change any state. While `now` is below
-    /// it the lane is provably inert — core parked/halted/hung/mid-PR, no
-    /// stall tail, no queued send, empty ingress link — so [`lane_phase`]
-    /// is skipped entirely. Every coordinator-side event that could change
-    /// the answer (ingress push, raised interrupt, host access, fault
-    /// injection, PR step) resets it to 0 via `Rosebud::wake_lane`; the
-    /// armed-watchdog deadline caps it. The sequential kernel never reads
-    /// this field: it ticks every lane every cycle and is the oracle the
-    /// differential suite compares against.
-    pub quiet_until: Cycle,
     /// The packet-processing unit itself.
     pub rpu: Rpu,
     /// The 32 Gbps ingress link feeding this RPU's DMA engine.
     pub rin: Serializer<IngressItem>,
     /// The 32 Gbps egress link draining committed sends.
     pub rout: Serializer<EgressItem>,
-    /// Shared-resource effects recorded by the last lane phase.
-    pub fx: LaneFx,
-}
-
-/// Shared-resource side effects of one lane's stages 4–6, deferred to the
-/// cycle barrier. At most one packet is popped from each link per cycle and
-/// at most one send committed, so single `Option`s suffice.
-#[derive(Default)]
-pub(crate) struct LaneFx {
-    /// Stage-4 outcome (ingress pop).
-    pub rx: Option<RxFx>,
-    /// Stage-6 outcome (committed send).
-    pub tx: Option<TxFx>,
-    /// The RPU holds a host-DMA request for the PCIe stage.
-    pub dma_req: bool,
-    /// The egress link is non-empty, so the routing stage must look at it.
-    pub rout_busy: bool,
-}
-
-/// Deferred stage-4 effect.
-pub(crate) enum RxFx {
-    /// Link FCS failure: quarantined before DMA; slot returns to the LB.
-    Corrupted {
-        /// The slot bound to the corrupted frame.
-        slot: u8,
-    },
-    /// DMA delivery failed (rx queue full — should not happen, slots bound
-    /// in-flight packets); slot returns, drop accounted.
-    Failed {
-        /// The slot bound to the undeliverable frame.
-        slot: u8,
-    },
-    /// Delivered into packet memory; descriptor queued.
-    Delivered {
-        /// The slot the frame landed in.
-        slot: u8,
-        /// Delivered byte count (for the trace event).
-        len: u32,
-    },
-}
-
-/// Deferred stage-6 effect.
-pub(crate) enum TxFx {
-    /// Zero-length send: firmware dropped the packet.
-    Dropped {
-        /// The descriptor tag (slot, or `SELF_TAG`).
-        tag: u8,
-    },
-    /// A frame entered the egress link.
-    Sent {
-        /// The descriptor tag.
-        tag: u8,
-        /// Destination port.
-        port: u8,
-        /// Frame length in bytes.
-        len: u32,
-    },
-}
-
-/// Runs one lane's fused stage 4 → 5 → 6 pass for cycle `now`, recording
-/// shared-resource effects in `lane.fx` instead of applying them. Must
-/// perform *exactly* the per-lane actions of the sequential kernel's stages
-/// 4–6, in the same intra-lane order.
-pub(crate) fn lane_phase(lane: &mut Lane, now: Cycle) {
-    if now < lane.quiet_until {
-        return;
-    }
-    let mut fx = LaneFx::default();
-
-    // Stage 4: per-RPU link → DMA into packet memory + descriptor delivery.
-    if let Some(item) = lane.rin.pop_ready(now) {
-        if item.corrupted {
-            fx.rx = Some(RxFx::Corrupted { slot: item.slot });
-        } else {
-            let delivered = lane
-                .rpu
-                .inner_mut()
-                .dma_deliver(item.slot, &item.bytes, item.meta);
-            fx.rx = Some(if delivered {
-                RxFx::Delivered {
-                    slot: item.slot,
-                    len: item.bytes.len() as u32,
-                }
-            } else {
-                RxFx::Failed { slot: item.slot }
-            });
-        }
-    }
-
-    // Stage 5: core + accelerator.
-    lane.rpu.tick(now);
-
-    // Stage 6: committed sends → the egress link.
-    if !lane.rout.is_full() {
-        if let Some((desc, bytes, meta)) = lane.rpu.inner_mut().take_tx() {
-            if desc.len == 0 || bytes.is_empty() {
-                fx.tx = Some(TxFx::Dropped { tag: desc.tag });
-            } else {
-                fx.tx = Some(TxFx::Sent {
-                    tag: desc.tag,
-                    port: desc.port,
-                    len: bytes.len() as u32,
-                });
-                let len = bytes.len() as u64;
-                lane.rout
-                    .push(
-                        EgressItem {
-                            src_rpu: lane.rpu.id(),
-                            desc,
-                            bytes,
-                            meta,
-                        },
-                        len,
-                        now,
-                    )
-                    .expect("fullness checked above");
-            }
-        }
-    }
-
-    fx.dma_req = lane.rpu.inner().has_dma_req();
-    fx.rout_busy = !lane.rout.is_empty();
-    // Only a fully inert cycle may start a sleep: no ingress or egress
-    // activity this cycle and nothing pending on the ingress link. A
-    // non-empty egress link does NOT hold the lane awake — the coordinator
-    // drains `rout` in tick_post, guided by the persistent rout mask.
-    lane.quiet_until = if fx.rx.is_none() && fx.tx.is_none() && lane.rin.is_empty() {
-        lane.rpu.quiet_horizon()
-    } else {
-        0
-    };
-    lane.fx = fx;
 }

@@ -1102,7 +1102,7 @@ impl Rpu {
     /// The first cycle at which a [`Rpu::tick`] could change any state,
     /// assuming no external event (raised interrupt, ingress delivery, host
     /// access, fault injection) arrives first — or `0` when the RPU must
-    /// tick every cycle. The parallel kernel uses this to elide ticks of
+    /// tick every cycle. The stage sweep uses this to elide ticks of
     /// provably inert lanes; every external event re-wakes the lane, so a
     /// conservative `0` is always safe while a too-large horizon is a
     /// determinism bug the differential suite exists to catch.
@@ -1110,6 +1110,13 @@ impl Rpu {
     /// The armed watchdog caps every horizon: its expiry is the one
     /// self-generated event an otherwise-inert RPU can produce.
     pub(crate) fn quiet_horizon(&self) -> u64 {
+        // The common busy case first: a running RV32 core that is not
+        // wedged ticks every cycle. (A reconfiguring region has no engine.)
+        if let Engine::Riscv(cpu) = &self.engine {
+            if !cpu.is_parked() && !self.hung {
+                return 0;
+            }
+        }
         // An accelerator streams every cycle regardless of the core.
         if self.inner.accel.is_some() {
             return 0;

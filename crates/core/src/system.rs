@@ -3,7 +3,7 @@
 
 use rosebud_accel::Accelerator;
 use rosebud_kernel::{
-    Clock, Counters, Cycle, DelayLine, EgressPort, Fifo, KernelMode, LatencyStats, Serializer,
+    Clock, Counters, Cycle, DelayLine, EgressPort, Fifo, LatencyStats, Serializer,
 };
 use rosebud_net::Packet;
 use rosebud_riscv::Image;
@@ -11,9 +11,8 @@ use rosebud_riscv::Image;
 use crate::config::RosebudConfig;
 use crate::fabric::{BcastArbiter, EgressItem, IngressItem, Loopback, PortState};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultState, Ledger};
-use crate::lane::{lane_phase, Lane, LaneFx, RxFx, TxFx};
+use crate::lane::Lane;
 use crate::lb::{LoadBalancer, SlotTracker};
-use crate::par::WorkerPool;
 use crate::rpu::{Firmware, Rpu};
 use crate::supervisor::RecoveryEvent;
 use crate::trace::{SupervisorStep, TraceConfig, TraceEvent, Tracer};
@@ -68,7 +67,6 @@ pub struct RosebudBuilder {
     lb: Option<Box<dyn LoadBalancer>>,
     firmware: Option<FirmwareFactory>,
     accel: Option<AccelFactory>,
-    kernel: Option<KernelMode>,
     load_policy: LoadPolicy,
 }
 
@@ -76,14 +74,6 @@ impl RosebudBuilder {
     /// Installs the load-balancing policy (defaults to round-robin).
     pub fn load_balancer(mut self, lb: Box<dyn LoadBalancer>) -> Self {
         self.lb = Some(lb);
-        self
-    }
-
-    /// Selects the simulation kernel explicitly. Defaults to
-    /// [`KernelMode::from_env`] (`ROSEBUD_KERNEL`), so test suites can be
-    /// matrixed over both kernels without code changes.
-    pub fn kernel(mut self, kernel: KernelMode) -> Self {
-        self.kernel = Some(kernel);
         self
     }
 
@@ -124,15 +114,11 @@ impl RosebudBuilder {
         self.cfg.validate()?;
         let firmware = self.firmware.ok_or("no firmware installed")?;
         let cfg = self.cfg;
-        let mut lanes: Vec<Box<Lane>> = (0..cfg.num_rpus)
-            .map(|i| {
-                Box::new(Lane {
-                    quiet_until: 0,
-                    rpu: Rpu::new(i, &cfg),
-                    rin: Serializer::new(cfg.rpu_link_bytes_per_cycle, cfg.slots_per_rpu + 2),
-                    rout: Serializer::new(cfg.rpu_link_bytes_per_cycle, cfg.slots_per_rpu + 2),
-                    fx: LaneFx::default(),
-                })
+        let mut lanes: Vec<Lane> = (0..cfg.num_rpus)
+            .map(|i| Lane {
+                rpu: Rpu::new(i, &cfg),
+                rin: Serializer::new(cfg.rpu_link_bytes_per_cycle, cfg.slots_per_rpu + 2),
+                rout: Serializer::new(cfg.rpu_link_bytes_per_cycle, cfg.slots_per_rpu + 2),
             })
             .collect();
         let mut lint_log: Vec<LintRecord> = Vec::new();
@@ -164,29 +150,18 @@ impl RosebudBuilder {
                 RpuProgram::Native(fw) => lane.rpu.load_native(fw),
             }
         }
-        let kernel = self.kernel.unwrap_or_else(KernelMode::from_env);
-        let pool = match kernel {
-            KernelMode::Parallel { workers, quantum } if workers > 0 => {
-                Some(WorkerPool::new(workers, cfg.num_rpus, quantum))
-            }
-            _ => None,
-        };
         let tracker = SlotTracker::new(cfg.num_rpus, cfg.slots_per_rpu);
-        let enabled = if cfg.num_rpus >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << cfg.num_rpus) - 1
-        };
+        // `validate` bounds the RPU count to 1..=64, one mask bit per RPU.
+        let enabled = u64::MAX >> (64 - cfg.num_rpus);
         let ports = (0..cfg.num_ports).map(|_| PortState::new(&cfg)).collect();
         let lane_quiet = vec![0; cfg.num_rpus];
         Ok(Rosebud {
             clock: Clock::new(cfg.clock_hz),
             lanes,
-            kernel,
-            pool,
             lane_quiet,
-            rout_mask: u64::MAX,
-            dma_mask: u64::MAX,
+            elide: false,
+            rout_mask: 0,
+            dma_mask: 0,
             lb: self
                 .lb
                 .unwrap_or_else(|| Box::new(crate::lb::RoundRobinLb::new())),
@@ -240,29 +215,25 @@ pub(crate) enum PrPhase {
 pub struct Rosebud {
     pub(crate) cfg: RosebudConfig,
     pub(crate) clock: Clock,
-    /// One lane per RPU: the RPU plus its private ingress/egress links,
-    /// boxed so the parallel kernel can move lanes to workers cheaply.
-    // Boxed so the worker pool can move lanes across threads pointer-sized.
-    #[allow(clippy::vec_box)]
-    pub(crate) lanes: Vec<Box<Lane>>,
-    /// Which kernel advances the system.
-    kernel: KernelMode,
-    /// Worker pool, when the parallel kernel has threads.
-    pool: Option<WorkerPool>,
-    /// Coordinator-side mirror of each lane's `quiet_until`, kept dense so
-    /// the parallel kernel's skip checks never dereference a sleeping
-    /// lane's box. Updated at the barrier and by [`Rosebud::wake_lane`];
-    /// unused by the sequential kernel.
+    /// One lane per RPU: the RPU plus its private ingress/egress links.
+    pub(crate) lanes: Vec<Lane>,
+    /// Quiescent-lane elision: per lane, the first cycle at which its
+    /// stages 4–6 could change any state. While `now` is below it the lane
+    /// is provably inert and the sweep skips it. Published after stage 6,
+    /// reset to 0 by [`Rosebud::wake_lane`], and pinned to 0 while
+    /// elision is off.
     lane_quiet: Vec<Cycle>,
-    /// Persistent egress-link occupancy bitmap (parallel kernel): bit `r`
-    /// set while lane `r`'s `rout` may hold data. Survives sleeping lanes —
-    /// a lane can park with frames still serializing out — and self-clears
-    /// in stage 7. Lanes ≥ 64 are never masked off.
+    /// Whether lanes may sleep (see [`Rosebud::set_elision`]).
+    elide: bool,
+    /// Egress-link occupancy bitmap: bit `r` set while lane `r`'s `rout`
+    /// may hold data. Set on every push in stage 6 and cleared by stage 7
+    /// once the link drains, so it survives sleeping lanes — a lane can
+    /// park with frames still serializing out.
     rout_mask: u64,
-    /// Persistent host-DMA-request bitmap (parallel kernel): bit `r` set
-    /// while lane `r`'s RPU may hold a committed DMA request. A parked core
-    /// legitimately sleeps while its request waits out a PCIe outage, so
-    /// this must survive elided cycles too.
+    /// Host-DMA-request bitmap: bit `r` set while lane `r`'s RPU may hold
+    /// a committed DMA request. Set after stage 5 and cleared by stage 10
+    /// once the request enters PCIe; a parked core legitimately sleeps
+    /// while its request waits out a PCIe outage.
     dma_mask: u64,
     pub(crate) lb: Box<dyn LoadBalancer>,
     pub(crate) tracker: SlotTracker,
@@ -305,6 +276,15 @@ pub struct Rosebud {
     pub(crate) tracer: Option<Tracer>,
 }
 
+/// Iterates the lane indices set in `mask`, lowest first.
+fn lanes_in(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let r = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (r < 64).then_some(r)
+    })
+}
+
 /// The trace-facing name of an RPU's lifecycle state.
 fn rpu_state_name(rpu: &Rpu) -> &'static str {
     match rpu.state() {
@@ -327,13 +307,12 @@ impl std::fmt::Debug for Rosebud {
             .field("rpus", &self.lanes.len())
             .field("cycle", &self.clock.cycle())
             .field("lb", &self.lb.name())
-            .field("kernel", &self.kernel)
+            .field("elide", &self.elide)
             .finish()
     }
 }
 
-/// Read-only view of every RPU, indexable like the slice the sequential-era
-/// API returned.
+/// Read-only view of every RPU, indexable like a slice.
 ///
 /// # Examples
 ///
@@ -350,7 +329,7 @@ impl std::fmt::Debug for Rosebud {
 /// assert_eq!(sys.rpus().iter().count(), 4);
 /// ```
 #[derive(Clone, Copy)]
-pub struct Rpus<'a>(&'a [Box<Lane>]);
+pub struct Rpus<'a>(&'a [Lane]);
 
 impl<'a> Rpus<'a> {
     /// Number of RPUs.
@@ -381,7 +360,6 @@ impl Rosebud {
             lb: None,
             firmware: None,
             accel: None,
-            kernel: None,
             load_policy: LoadPolicy::default(),
         }
     }
@@ -415,23 +393,18 @@ impl Rosebud {
         !denied
     }
 
-    /// The kernel advancing this system.
-    pub fn kernel(&self) -> KernelMode {
-        self.kernel
-    }
-
-    /// Replaces the simulation kernel. Safe at any cycle boundary: lane
-    /// sleep state is conservative (the sequential kernel ignores it, and a
-    /// freshly built system has every lane awake), so differential
-    /// harnesses can build one scenario and re-run it under each kernel.
-    pub fn set_kernel(&mut self, kernel: KernelMode) {
-        self.kernel = kernel;
-        self.pool = match kernel {
-            KernelMode::Parallel { workers, quantum } if workers > 0 => {
-                Some(WorkerPool::new(workers, self.lanes.len(), quantum))
-            }
-            _ => None,
-        };
+    /// Turns quiescent-lane elision on or off (off by default). Off pins
+    /// every lane's quiet horizon to 0, so every lane runs every stage of
+    /// every cycle through the same sweep: the reference the differential
+    /// suite (`tests/kernel_equivalence.rs`) compares elided runs against.
+    /// Results never depend on this switch, only wall-clock speed does:
+    /// with most lanes parked in `wfi`, elision makes a cycle several
+    /// times cheaper. Safe at any cycle boundary.
+    pub fn set_elision(&mut self, on: bool) {
+        self.elide = on;
+        if !on {
+            self.lane_quiet.fill(0);
+        }
     }
 
     /// The configuration.
@@ -460,16 +433,14 @@ impl Rosebud {
         &mut self.lanes[rpu].rpu
     }
 
-    /// Re-arms lane `r` for the parallel kernel's quiescent-lane elision:
-    /// every event that could change an elided lane's behavior — an ingress
-    /// push, a raised interrupt, a host access, fault injection, a PR step —
-    /// must route through here. Spurious wakes are harmless (an inert
-    /// lane's phase is a no-op and it re-sleeps at the next barrier); a
-    /// *missed* wake is a determinism bug the differential suite exists to
-    /// catch. No-op under the sequential kernel, which never sleeps lanes.
+    /// Wakes lane `r` from quiescent-lane elision. Every mutator of lane
+    /// state from outside the lane's own stages 4–6 — an ingress push, a
+    /// raised interrupt, a host access, fault injection, a PR step — must
+    /// call this. Spurious wakes are harmless (an inert lane's stages are
+    /// the identity and it re-sleeps after stage 6); a *missed* wake is a
+    /// determinism bug the elide-on/off differential suite exists to catch.
     #[inline]
     pub(crate) fn wake_lane(&mut self, r: usize) {
-        self.lanes[r].quiet_until = 0;
         self.lane_quiet[r] = 0;
     }
 
@@ -602,54 +573,21 @@ impl Rosebud {
 
     /// Advances the whole system by one clock cycle.
     ///
-    /// Both kernels advance the same architectural stages in the same
-    /// order. The sequential kernel is the stage-sliced reference: every
-    /// stage sweeps all RPUs before the next begins, shared effects applied
-    /// inline. The parallel kernel fuses the per-RPU stages 4–6 into one
-    /// lane pass (possibly fanned out across worker threads), defers the
-    /// shared-resource effects into each lane's [`LaneFx`], and replays
-    /// them at the cycle barrier in the sequential kernel's exact order —
-    /// see [`crate::lane`] for the equivalence argument.
+    /// The cycle is thirteen stages in a fixed order, each sweeping the RPUs
+    /// in ascending lane order before the next begins: stages 0–3
+    /// (`tick_pre`), the per-lane stages 4–6 (`lane_stages`), and stages
+    /// 7–12 (`tick_post`). Quiescent-lane elision skips stages 4–6 of lanes
+    /// whose per-cycle transition is provably the identity; it changes no
+    /// state, counter or trace event (see [`Self::set_elision`]).
     pub fn tick(&mut self) {
         let now = self.clock.cycle();
         self.tick_pre(now);
-        let (rout_mask, dma_mask) = match self.kernel {
-            KernelMode::Sequential => {
-                self.sequential_lane_stages(now);
-                (u64::MAX, u64::MAX)
-            }
-            KernelMode::Parallel { .. } => {
-                let mut any_ran = true;
-                if let Some(mut pool) = self.pool.take() {
-                    pool.maybe_rebalance(&self.lanes, now);
-                    pool.run_cycle(&mut self.lanes, now);
-                    self.pool = Some(pool);
-                } else {
-                    // Quiescent-lane elision: the dense mirror lets the
-                    // fused loop skip sleeping lanes without touching them.
-                    any_ran = false;
-                    for r in 0..self.lanes.len() {
-                        if now < self.lane_quiet[r] {
-                            continue;
-                        }
-                        lane_phase(&mut self.lanes[r], now);
-                        any_ran = true;
-                    }
-                }
-                if any_ran {
-                    self.apply_lane_fx(now)
-                } else {
-                    // Every lane slept: no fresh effects to replay and no
-                    // mask bit can have changed.
-                    (self.rout_mask, self.dma_mask)
-                }
-            }
-        };
-        self.tick_post(now, rout_mask, dma_mask);
+        self.lane_stages(now);
+        self.tick_post(now);
     }
 
     /// Stages 0–3: faults, wire-side receive, the load balancer, and the
-    /// ingress pipeline. Runs before the per-lane phase under both kernels.
+    /// ingress pipeline.
     fn tick_pre(&mut self, now: Cycle) {
         // 0. Scheduled fault injection (chaos harness).
         self.apply_due_faults(now);
@@ -696,221 +634,155 @@ impl Rosebud {
         }
     }
 
-    /// Stages 4–6 as the sequential reference kernel runs them: each stage
-    /// sweeps all RPUs before the next begins, shared effects applied
-    /// inline. This is deliberately an independent implementation from
-    /// [`lane_phase`] — the differential suite proves them equivalent.
-    fn sequential_lane_stages(&mut self, now: Cycle) {
-        // 4. Per-RPU link → DMA into packet memory + descriptor delivery.
-        for r in 0..self.lanes.len() {
-            if let Some(item) = self.lanes[r].rin.pop_ready(now) {
-                if item.corrupted {
-                    // Link FCS failure: quarantine before the DMA engine
-                    // touches packet memory; the slot returns to the LB.
-                    self.tracker.release(r, item.slot);
-                    self.ledger.corrupted += 1;
-                    continue;
-                }
-                let delivered =
-                    self.lanes[r]
-                        .rpu
-                        .inner_mut()
-                        .dma_deliver(item.slot, &item.bytes, item.meta);
-                if !delivered {
-                    // Should not happen: slots bound in-flight packets.
-                    self.tracker.release(r, item.slot);
-                    self.routed_drops += 1;
-                    self.ledger.dropped += 1;
-                } else if let Some(t) = self.tracer.as_mut() {
-                    t.record(
-                        now,
-                        TraceEvent::DescRx {
-                            rpu: r as u8,
-                            slot: item.slot,
-                            len: item.bytes.len() as u32,
-                        },
-                    );
-                }
+    /// Stages 4–6, sweeping only the lanes awake this cycle. A sleeping
+    /// lane has an empty ingress link (every push wakes it) and an RPU
+    /// whose tick is the identity until its quiet horizon, so skipping it
+    /// is exact.
+    fn lane_stages(&mut self, now: Cycle) {
+        let mut awake = 0u64;
+        for (r, &quiet) in self.lane_quiet.iter().enumerate() {
+            if now >= quiet {
+                awake |= 1 << r;
             }
         }
+        // Lanes with ingress or egress activity this cycle stay awake.
+        let mut active = 0u64;
 
-        // 5. RPUs: core + accelerator.
-        for lane in &mut self.lanes {
-            lane.rpu.tick(now);
-        }
-
-        // 6. Committed sends → per-RPU egress links.
-        for r in 0..self.lanes.len() {
-            if self.lanes[r].rout.is_full() {
+        // 4. Per-RPU link → DMA into packet memory + descriptor delivery.
+        for r in lanes_in(awake) {
+            let Some(item) = self.lanes[r].rin.pop_ready(now) else {
+                continue;
+            };
+            active |= 1 << r;
+            if item.corrupted {
+                // Link FCS failure: quarantine before the DMA engine touches
+                // packet memory; the slot returns to the LB.
+                self.tracker.release(r, item.slot);
+                self.ledger.corrupted += 1;
                 continue;
             }
-            if let Some((desc, bytes, meta)) = self.lanes[r].rpu.inner_mut().take_tx() {
-                if desc.len == 0 || bytes.is_empty() {
-                    if desc.tag != SELF_TAG {
-                        self.tracker.release(r, desc.tag);
-                        // Self-originated zero-length sends never entered
-                        // the conservation universe; slot-bound ones did.
-                        self.ledger.dropped += 1;
-                    }
-                    self.routed_drops += 1;
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.record(
-                            now,
-                            TraceEvent::DescDrop {
-                                rpu: r as u8,
-                                tag: desc.tag,
-                            },
-                        );
-                    }
-                    continue;
-                }
-                if let Some(t) = self.tracer.as_mut() {
-                    t.record(
-                        now,
-                        TraceEvent::DescTx {
-                            rpu: r as u8,
-                            tag: desc.tag,
-                            port: desc.port,
-                            len: bytes.len() as u32,
-                        },
-                    );
-                }
-                let len = bytes.len() as u64;
+            let delivered =
                 self.lanes[r]
-                    .rout
-                    .push(
-                        EgressItem {
-                            src_rpu: r,
-                            desc,
-                            bytes,
-                            meta,
-                        },
-                        len,
-                        now,
-                    )
-                    .expect("fullness checked above");
+                    .rpu
+                    .inner_mut()
+                    .dma_deliver(item.slot, &item.bytes, item.meta);
+            if !delivered {
+                // Should not happen: slots bound in-flight packets.
+                self.tracker.release(r, item.slot);
+                self.routed_drops += 1;
+                self.ledger.dropped += 1;
+            } else if let Some(t) = self.tracer.as_mut() {
+                t.record(
+                    now,
+                    TraceEvent::DescRx {
+                        rpu: r as u8,
+                        slot: item.slot,
+                        len: item.bytes.len() as u32,
+                    },
+                );
             }
+        }
+
+        // 5. RPUs: core + accelerator. A committed host-DMA request waits
+        //    for stage 10 in the persistent DMA mask.
+        for r in lanes_in(awake) {
+            let rpu = &mut self.lanes[r].rpu;
+            rpu.tick(now);
+            if rpu.inner().has_dma_req() {
+                self.dma_mask |= 1 << r;
+            }
+        }
+
+        // 6. Committed sends → per-RPU egress links; then each awake lane
+        //    publishes its quiet horizon. Only a fully inert cycle may start
+        //    a sleep: no ingress or egress activity and an empty ingress
+        //    link. A non-empty egress link does not hold the lane awake —
+        //    stage 7 drains it, guided by the persistent rout mask.
+        for r in lanes_in(awake) {
+            if self.send_committed(r, now) {
+                active |= 1 << r;
+            }
+            let lane = &self.lanes[r];
+            self.lane_quiet[r] = if self.elide && active & (1 << r) == 0 && lane.rin.is_empty() {
+                lane.rpu.quiet_horizon()
+            } else {
+                0
+            };
         }
     }
 
-    /// The parallel kernel's barrier: replays every lane's deferred
-    /// shared-resource effects in stage-major, lane-ascending order — the
-    /// exact order [`Self::sequential_lane_stages`] produces them — and
-    /// returns `(rout_mask, dma_mask)` bitmaps of lanes whose egress link
-    /// holds data / whose RPU holds a host-DMA request, so
-    /// [`Self::tick_post`] skips idle lanes.
-    fn apply_lane_fx(&mut self, now: Cycle) -> (u64, u64) {
-        // Stage-4 effects, ascending lane order. Lanes elided this cycle
-        // (mirror still holding a future horizon) produced no fresh effects
-        // and keep their persistent mask bits — a sleeping lane can still
-        // have frames draining from its egress link or a DMA request
-        // waiting out a PCIe outage.
-        for r in 0..self.lanes.len() {
-            if now < self.lane_quiet[r] {
-                continue;
-            }
-            let (rout_busy, dma_req, rx) = {
-                let fx = &mut self.lanes[r].fx;
-                (fx.rout_busy, fx.dma_req, fx.rx.take())
-            };
-            if r < 64 {
-                let bit = 1u64 << r;
-                if rout_busy {
-                    self.rout_mask |= bit;
-                } else {
-                    self.rout_mask &= !bit;
-                }
-                if dma_req {
-                    self.dma_mask |= bit;
-                } else {
-                    self.dma_mask &= !bit;
-                }
-            }
-            match rx {
-                None => {}
-                Some(RxFx::Corrupted { slot }) => {
-                    self.tracker.release(r, slot);
-                    self.ledger.corrupted += 1;
-                }
-                Some(RxFx::Failed { slot }) => {
-                    self.tracker.release(r, slot);
-                    self.routed_drops += 1;
-                    self.ledger.dropped += 1;
-                }
-                Some(RxFx::Delivered { slot, len }) => {
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.record(
-                            now,
-                            TraceEvent::DescRx {
-                                rpu: r as u8,
-                                slot,
-                                len,
-                            },
-                        );
-                    }
-                }
-            }
+    /// Stage 6 for lane `r`: moves one committed send, if any, onto the
+    /// egress link. Returns `true` when a descriptor was consumed.
+    fn send_committed(&mut self, r: usize, now: Cycle) -> bool {
+        if self.lanes[r].rout.is_full() {
+            return false;
         }
-        // Stage-6 effects, ascending lane order; afterwards each active
-        // lane's freshly computed quiet horizon is published to the dense
-        // mirror (a lane that ran this cycle sleeps starting next cycle).
-        for r in 0..self.lanes.len() {
-            if now < self.lane_quiet[r] {
-                continue;
+        let Some((desc, bytes, meta)) = self.lanes[r].rpu.inner_mut().take_tx() else {
+            return false;
+        };
+        if desc.len == 0 || bytes.is_empty() {
+            if desc.tag != SELF_TAG {
+                self.tracker.release(r, desc.tag);
+                // Self-originated zero-length sends never entered the
+                // conservation universe; slot-bound ones did.
+                self.ledger.dropped += 1;
             }
-            self.lane_quiet[r] = self.lanes[r].quiet_until;
-            match self.lanes[r].fx.tx.take() {
-                None => {}
-                Some(TxFx::Dropped { tag }) => {
-                    if tag != SELF_TAG {
-                        self.tracker.release(r, tag);
-                        self.ledger.dropped += 1;
-                    }
-                    self.routed_drops += 1;
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.record(now, TraceEvent::DescDrop { rpu: r as u8, tag });
-                    }
-                }
-                Some(TxFx::Sent { tag, port, len }) => {
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.record(
-                            now,
-                            TraceEvent::DescTx {
-                                rpu: r as u8,
-                                tag,
-                                port,
-                                len,
-                            },
-                        );
-                    }
-                }
+            self.routed_drops += 1;
+            if let Some(t) = self.tracer.as_mut() {
+                t.record(
+                    now,
+                    TraceEvent::DescDrop {
+                        rpu: r as u8,
+                        tag: desc.tag,
+                    },
+                );
             }
+            return true;
         }
-        (self.rout_mask, self.dma_mask)
+        if let Some(t) = self.tracer.as_mut() {
+            t.record(
+                now,
+                TraceEvent::DescTx {
+                    rpu: r as u8,
+                    tag: desc.tag,
+                    port: desc.port,
+                    len: bytes.len() as u32,
+                },
+            );
+        }
+        let len = bytes.len() as u64;
+        self.lanes[r]
+            .rout
+            .push(
+                EgressItem {
+                    src_rpu: r,
+                    desc,
+                    bytes,
+                    meta,
+                },
+                len,
+                now,
+            )
+            .expect("fullness checked above");
+        self.rout_mask |= 1 << r;
+        true
     }
 
     /// Stages 7–12 plus the periodic scans: everything after the per-lane
-    /// phase. `rout_mask`/`dma_mask` let the parallel kernel skip lanes
-    /// with nothing queued; the sequential kernel passes all-ones (lane 64
-    /// and above are never masked off).
-    fn tick_post(&mut self, now: Cycle, rout_mask: u64, dma_mask: u64) {
+    /// stages. The rout and DMA masks let stages 7 and 10 visit only lanes
+    /// with something queued, asleep or not.
+    fn tick_post(&mut self, now: Cycle) {
         // 7. Egress links → routing; slot freed once fully serialized out
         //    ("the interconnect notifies the LB about slot being freed after
         //    it is sent out", §4.2).
-        for r in 0..self.lanes.len() {
-            if r < 64 && rout_mask & (1 << r) == 0 {
-                continue;
-            }
+        for r in lanes_in(self.rout_mask) {
             // Hold the egress link when the destination port's pipeline is
             // congested: self-originated traffic (no slot bound) must not
             // grow the egress queues without limit.
             let Some(head) = self.lanes[r].rout.front() else {
-                // The link drained; a sleeping lane cannot refill it, so
-                // the persistent bit self-clears (a stale set bit only
-                // costs this one look).
-                if r < 64 {
-                    self.rout_mask &= !(1 << r);
-                }
+                // The link drained (a host flush, say); the stale bit
+                // self-clears after this one look.
+                self.rout_mask &= !(1 << r);
                 continue;
             };
             let dest = head.desc.port as usize;
@@ -918,7 +790,7 @@ impl Rosebud {
                 continue;
             }
             if let Some(item) = self.lanes[r].rout.pop_ready(now) {
-                if r < 64 && self.lanes[r].rout.is_empty() {
+                if self.lanes[r].rout.is_empty() {
                     self.rout_mask &= !(1 << r);
                 }
                 if item.desc.tag != SELF_TAG {
@@ -986,22 +858,17 @@ impl Rosebud {
                 self.host_rx.push(pkt);
                 self.ledger.delivered += 1;
             }
-            for r in 0..self.lanes.len() {
-                if r < 64 && dma_mask & (1 << r) == 0 {
-                    continue;
-                }
+            for r in lanes_in(self.dma_mask) {
                 if let Some(req) = self.lanes[r].rpu.inner_mut().take_dma_req() {
                     if let Some(t) = self.tracer.as_mut() {
                         t.dma_started(now, r, req.to_host, req.len);
                     }
                     self.host_dma_delay.push((r, req), now);
                 }
-                // The request (if any) is now in the PCIe stage; only a
-                // fresh lane phase can commit another one.
-                if r < 64 {
-                    self.dma_mask &= !(1 << r);
-                }
             }
+            // Every request is now in the PCIe stage; only a fresh stage 5
+            // can commit another one.
+            self.dma_mask = 0;
         }
         if host_up {
             while let Some((r, req)) = self.host_dma_delay.pop_ready(now) {

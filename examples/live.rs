@@ -24,7 +24,7 @@
 //!   pass: drives the blacklist firewall with real frames over the
 //!   in-process ring, writes the event log (`live-events.log`) and the
 //!   Perfetto trace (`live-trace.json`), then replays the log through a
-//!   fresh sequential oracle and verifies the run reproduced bit-exactly.
+//!   fresh system and verifies the run reproduced bit-exactly.
 
 use rosebud::apps::firewall::{
     build_firewall_system, expected_drops, firewall_trace, synthetic_blacklist,
@@ -91,7 +91,7 @@ fn smoke(blacklist: &[[u8; 4]]) -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     // Round-trip through the on-disk format, then replay through a fresh
-    // sequential oracle: trace, ledger, and diagnostics must reproduce.
+    // system: trace, ledger, and diagnostics must reproduce.
     let log = EventLog::parse_text(&std::fs::read_to_string("live-events.log")?)
         .map_err(std::io::Error::other)?;
     let mut oracle = traced_firewall(blacklist)?;

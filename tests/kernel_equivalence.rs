@@ -1,18 +1,19 @@
-//! Differential kernel-equivalence suite: every scenario here is run under
-//! the sequential reference kernel and the parallel kernel (fused
-//! single-thread and worker-threaded), and the *complete observable
-//! output* — the cycle-stamped compact trace, the conservation ledger, the
-//! diagnostics snapshot, and the benchmark measurement — must be
-//! byte-identical. The sequential kernel is the oracle; any divergence is
-//! a parallel-kernel bug (usually a missed wake in quiescent-lane elision
-//! or a mis-ordered barrier replay).
+//! Differential elision suite: every scenario runs twice through the one
+//! stage-sliced sweep — once with every lane awake every cycle (elision
+//! off), once with quiescent-lane elision on — and the *complete
+//! observable output* (the cycle-stamped compact trace, the conservation
+//! ledger, the diagnostics snapshot, and the benchmark measurement) must be
+//! byte-identical. The awake run is the oracle; any divergence is an
+//! elision bug, usually a missed `wake_lane` or a mask bit lost while a
+//! lane slept.
 //!
-//! The scenarios are chosen to stress exactly the mechanisms that could
-//! diverge: busy-poll forwarding (barrier replay ordering), duty-cycled
-//! `wfi` firmware (elision wake-on-ingress and the timer alarm), firewall
-//! injection (host virtual interface + accelerators), and chaos runs
-//! (faults, supervisor-driven eviction/PR/reload against lanes that may be
-//! asleep when the host reaches in).
+//! The scenarios stress exactly the mechanisms that could diverge:
+//! busy-poll forwarding (lanes that never sleep), duty-cycled `wfi`
+//! firmware (wake-on-ingress and the timer alarm), firewall injection (host
+//! virtual interface + accelerators), chaos runs (faults, supervisor-driven
+//! eviction/PR/reload against lanes that may be asleep when the host
+//! reaches in), and a host-DMA outage plus broadcast wake (the persistent
+//! DMA mask and the stage-10/stage-11 interrupt wakes).
 
 use rosebud::apps::firewall::{
     build_firewall_system, firewall_trace, synthetic_blacklist, NoopGen,
@@ -21,32 +22,14 @@ use rosebud::apps::forwarder::{
     build_duty_cycle_forwarding_system, build_forwarding_system, build_watchdog_forwarding_system,
 };
 use rosebud::core::{
-    FaultKind, FaultPlan, Harness, KernelMode, Rosebud, Supervisor, SupervisorConfig, TraceConfig,
+    FaultKind, FaultPlan, Harness, Rosebud, RosebudConfig, RpuProgram, Supervisor,
+    SupervisorConfig, TraceConfig,
 };
 use rosebud::net::{FixedSizeGen, ImixGen};
 
-/// The kernels under test. `workers: 0` exercises the fused coordinator
-/// loop (and quiescent-lane elision); `workers: 2` routes lane phases
-/// through the worker pool, exercising the quantum rebalancer and the
-/// split/reassemble path.
-fn kernels() -> Vec<(&'static str, KernelMode)> {
-    vec![
-        ("sequential", KernelMode::Sequential),
-        (
-            "parallel-fused",
-            KernelMode::Parallel {
-                workers: 0,
-                quantum: 1024,
-            },
-        ),
-        (
-            "parallel-threaded",
-            KernelMode::Parallel {
-                workers: 2,
-                quantum: 256,
-            },
-        ),
-    ]
+/// The sweeps under test: every lane awake (the oracle), then elided.
+fn kernels() -> [(&'static str, bool); 2] {
+    [("awake", false), ("elided", true)]
 }
 
 /// Everything a scenario observably produces.
@@ -86,18 +69,18 @@ fn observe(mut h: Harness, cycles: u64) -> Observed {
     }
 }
 
-/// Asserts that every kernel produced the oracle's exact output, pointing
+/// Asserts that the elided run produced the oracle's exact output, pointing
 /// at the first diverging trace line when not.
 fn assert_equivalent(scenario: &str, runs: &[(&str, Observed)]) {
     let (oracle_name, oracle) = &runs[0];
-    assert_eq!(*oracle_name, "sequential", "oracle must run first");
+    assert_eq!(*oracle_name, "awake", "oracle must run first");
     for (name, got) in &runs[1..] {
         if got.trace != oracle.trace {
             for (i, (want, have)) in oracle.trace.lines().zip(got.trace.lines()).enumerate() {
                 assert_eq!(
                     want,
                     have,
-                    "{scenario}: {name} trace diverges from sequential at line {}",
+                    "{scenario}: {name} trace diverges from awake at line {}",
                     i + 1
                 );
             }
@@ -122,11 +105,11 @@ fn assert_equivalent(scenario: &str, runs: &[(&str, Observed)]) {
     }
 }
 
-/// Runs `scenario` once per kernel and demands identical output.
-fn differential(scenario: &str, run: impl Fn(KernelMode) -> Observed) {
+/// Runs `scenario` awake and elided and demands identical output.
+fn differential(scenario: &str, run: impl Fn(bool) -> Observed) {
     let runs: Vec<(&str, Observed)> = kernels()
         .into_iter()
-        .map(|(name, k)| (name, run(k)))
+        .map(|(name, elide)| (name, run(elide)))
         .collect();
     assert_equivalent(scenario, &runs);
     // Non-vacuity: the scenario must actually have produced events.
@@ -136,16 +119,16 @@ fn differential(scenario: &str, run: impl Fn(KernelMode) -> Observed) {
     );
 }
 
-fn with_kernel(mut sys: Rosebud, kernel: KernelMode) -> Rosebud {
-    sys.set_kernel(kernel);
+fn with_elision(mut sys: Rosebud, elide: bool) -> Rosebud {
+    sys.set_elision(elide);
     sys.enable_tracing(trace_cfg());
     sys
 }
 
 #[test]
 fn forwarder_is_kernel_invariant() {
-    differential("forwarder", |k| {
-        let sys = with_kernel(build_forwarding_system(8).unwrap(), k);
+    differential("forwarder", |elide| {
+        let sys = with_elision(build_forwarding_system(8).unwrap(), elide);
         observe(
             Harness::new(sys, Box::new(FixedSizeGen::new(256, 2)), 60.0),
             30_000,
@@ -156,8 +139,8 @@ fn forwarder_is_kernel_invariant() {
 #[test]
 fn forwarder_imix_is_kernel_invariant_across_seeds() {
     for seed in [1u64, 7, 42] {
-        differential(&format!("forwarder-imix seed={seed}"), |k| {
-            let sys = with_kernel(build_forwarding_system(16).unwrap(), k);
+        differential(&format!("forwarder-imix seed={seed}"), |elide| {
+            let sys = with_elision(build_forwarding_system(16).unwrap(), elide);
             observe(
                 Harness::new(sys, Box::new(ImixGen::new(2, seed)), 120.0),
                 25_000,
@@ -172,8 +155,8 @@ fn duty_cycle_forwarder_is_kernel_invariant() {
     // alarms, so every ingress push against a sleeping lane must wake it on
     // exactly the right cycle.
     for seed in [3u64, 19] {
-        differential(&format!("duty-cycle seed={seed}"), |k| {
-            let sys = with_kernel(build_duty_cycle_forwarding_system(16, 700).unwrap(), k);
+        differential(&format!("duty-cycle seed={seed}"), |elide| {
+            let sys = with_elision(build_duty_cycle_forwarding_system(16, 700).unwrap(), elide);
             observe(
                 Harness::new(sys, Box::new(ImixGen::new(2, seed)), 8.0),
                 40_000,
@@ -184,9 +167,9 @@ fn duty_cycle_forwarder_is_kernel_invariant() {
 
 #[test]
 fn firewall_is_kernel_invariant() {
-    differential("firewall", |k| {
+    differential("firewall", |elide| {
         let blacklist = synthetic_blacklist(6, 7);
-        let sys = with_kernel(build_firewall_system(4, &blacklist).unwrap(), k);
+        let sys = with_elision(build_firewall_system(4, &blacklist).unwrap(), elide);
         let trace = firewall_trace(&blacklist, 16, 256);
         let mut h = Harness::new(sys, Box::new(NoopGen), 0.0);
         for pkt in &trace {
@@ -212,14 +195,14 @@ fn chaos_recovery_is_kernel_invariant_across_seeds() {
     // traffic — the host reaches into lanes that may be mid-sleep, so every
     // host-side mutator's wake is on trial here.
     for seed in [11u64, 23] {
-        differential(&format!("chaos seed={seed}"), |k| {
+        differential(&format!("chaos seed={seed}"), |elide| {
             let mut sys = build_watchdog_forwarding_system(8, 64).unwrap();
             sys.install_fault_plan(
                 FaultPlan::new(seed)
                     .at(8_000, FaultKind::FirmwareHang { rpu: 3 })
                     .at(22_000, FaultKind::FirmwareCrash { rpu: 5 }),
             );
-            let sys = with_kernel(sys, k);
+            let sys = with_elision(sys, elide);
             let mut h = Harness::new(sys, Box::new(ImixGen::new(2, seed)), 60.0);
             let mut sup = Supervisor::with_config(
                 &h.sys,
@@ -252,9 +235,9 @@ fn host_pokes_against_sleeping_lanes_are_kernel_invariant() {
     // Direct missed-wake hunt: park a duty-cycled fleet under light load
     // and fire host-side state changes (pokes, broadcast wakes via the
     // debug register, firmware reload) at fixed cycles. Each one must take
-    // effect on the same cycle under every kernel.
-    differential("host-pokes", |k| {
-        let sys = with_kernel(build_duty_cycle_forwarding_system(8, 900).unwrap(), k);
+    // effect on the same cycle awake and elided.
+    differential("host-pokes", |elide| {
+        let sys = with_elision(build_duty_cycle_forwarding_system(8, 900).unwrap(), elide);
         let mut h = Harness::new(sys, Box::new(ImixGen::new(2, 5)), 4.0);
         h.begin_window();
         for cycle in 0..50_000u64 {
@@ -288,10 +271,9 @@ fn host_pokes_against_sleeping_lanes_are_kernel_invariant() {
 
 #[test]
 fn recorded_live_shell_session_replays_kernel_invariant() {
-    // Record once: a live ring-backed shell serving real frames on the
-    // sequential kernel. Then replay the event log under every kernel — the
-    // record/replay contract must hold not just against the sequential
-    // oracle but across the whole kernel family.
+    // Record once: a live ring-backed shell serving real frames with
+    // elision on. Then replay the event log awake and elided — the
+    // record/replay contract must hold whether or not lanes sleep.
     use rosebud::core::ports::replay;
     use rosebud::shell::{RingBackend, Shell};
 
@@ -305,8 +287,8 @@ fn recorded_live_shell_session_replays_kernel_invariant() {
     let log = shell.log().clone();
     assert_eq!(log.events.len(), 32, "every live frame must be recorded");
 
-    differential("live-shell-replay", |k| {
-        let mut sys = with_kernel(build_forwarding_system(8).unwrap(), k);
+    differential("live-shell-replay", |elide| {
+        let mut sys = with_elision(build_forwarding_system(8).unwrap(), elide);
         let delivered = replay(&log, &mut sys);
         Observed {
             trace: sys.take_tracer().unwrap().compact_text(),
@@ -327,18 +309,22 @@ fn fleet_failover_is_kernel_invariant() {
     // probation) while the survivors carry re-steered flows. Every box's
     // compact trace — including the archived trace of the incarnation the
     // reload retired — plus the fleet ladder log, ledger, and measurement
-    // must be byte-identical under every kernel.
+    // must be byte-identical awake and elided. The factory sets elision, so
+    // boxes rebuilt by a reload keep it.
     use rosebud::core::{Fleet, FleetConfig, FleetHarness, FleetSupervisor, FleetSupervisorConfig};
 
     for seed in [5u64, 31] {
-        differential(&format!("fleet-chaos seed={seed}"), |k| {
+        differential(&format!("fleet-chaos seed={seed}"), |elide| {
             let mut fleet = Fleet::new(
                 FleetConfig {
                     boxes: 2,
                     ..FleetConfig::default()
                 },
-                k,
-                |_| build_watchdog_forwarding_system(4, 64).unwrap(),
+                move |_| {
+                    let mut sys = build_watchdog_forwarding_system(4, 64).unwrap();
+                    sys.set_elision(elide);
+                    sys
+                },
             )
             .unwrap();
             fleet.enable_tracing(trace_cfg());
@@ -400,4 +386,127 @@ fn fleet_failover_is_kernel_invariant() {
             }
         });
     }
+}
+
+/// RPU 0's firmware: one host-DRAM → pmem DMA, parked in `wfi` until the
+/// DMA interrupt, then the fetched word goes out as a broadcast and the
+/// core parks for good.
+const DMA_INITIATOR_ASM: &str = "
+    .equ IO, 0x02000000
+        li t0, IO
+        li t1, 0x01000000        # pmem base
+        li s0, 0x04000000        # broadcast region
+        li t6, 4                 # enable the DMA interrupt line (bit 2)
+        csrw mie, t6
+        sw zero, 0x44(t0)        # DMA_HOST_ADDR: host DRAM word 0
+        sw t1, 0x48(t0)          # DMA_LOCAL_ADDR: pmem base
+        li a0, 64
+        sw a0, 0x4c(t0)          # DMA_LEN
+        li a0, 2
+        sw a0, 0x50(t0)          # DMA_CTRL: host DRAM -> pmem
+        wfi                      # park across the PCIe outage
+        lw a0, 0(t1)             # the fetched word
+        sw a0, 0(s0)             # broadcast it to every RPU
+        csrw mie, zero
+    done:
+        wfi
+        j done
+";
+
+/// Every other RPU: park until a broadcast arrives, then mirror the word
+/// into host DRAM (at `host_addr`) and report it on the debug channel.
+fn bcast_receiver_asm(host_addr: u32) -> String {
+    format!(
+        "
+    .equ IO, 0x02000000
+        li t0, IO
+        li t1, 0x01000000        # pmem base
+        li s0, 0x04000000        # broadcast region
+        li t6, 1                 # enable the broadcast interrupt line (bit 0)
+        csrw mie, t6
+        wfi                      # park until the broadcast lands
+        lw a0, 0(s0)             # the broadcast word
+        sw a0, 0(t1)
+        li a1, {host_addr}
+        sw a1, 0x44(t0)          # DMA_HOST_ADDR
+        sw t1, 0x48(t0)          # DMA_LOCAL_ADDR
+        li a1, 4
+        sw a1, 0x4c(t0)          # DMA_LEN
+        li a1, 1
+        sw a1, 0x50(t0)          # DMA_CTRL: pmem -> host DRAM
+        sw a0, 0x1c(t0)          # DEBUG_OUT_L
+        sw zero, 0x20(t0)        # DEBUG_OUT_H (commit)
+        csrw mie, zero
+    done:
+        wfi
+        j done
+    "
+    )
+}
+
+#[test]
+fn dma_outage_and_broadcast_wakes_are_kernel_invariant() {
+    // A parked core's committed host-DMA request must survive elided
+    // cycles in the persistent DMA mask while a PCIe outage holds stage 10,
+    // and the completion (stage 10) and the broadcast it triggers
+    // (stage 11) must wake sleeping lanes on exactly the awake run's cycle.
+    const RPUS: usize = 8;
+    const MAGIC: u32 = 0x5eed_b0a7;
+    let receiver_addr = |r: usize| 0x1000 + 64 * r as u32;
+    differential("dma-outage-bcast", |elide| {
+        let initiator = rosebud::riscv::assemble(DMA_INITIATOR_ASM).unwrap();
+        let receivers: Vec<_> = (0..RPUS)
+            .map(|r| rosebud::riscv::assemble(&bcast_receiver_asm(receiver_addr(r))).unwrap())
+            .collect();
+        let mut sys = Rosebud::builder(RosebudConfig::with_rpus(RPUS))
+            .firmware(move |r| {
+                RpuProgram::Riscv(if r == 0 {
+                    initiator.clone()
+                } else {
+                    receivers[r].clone()
+                })
+            })
+            .build()
+            .unwrap();
+        sys.host_dram_mut()[..4].copy_from_slice(&MAGIC.to_le_bytes());
+        // The first outage holds the initiator's request; the second opens
+        // after its completion and holds every receiver's request.
+        sys.install_fault_plan(
+            FaultPlan::new(9)
+                .at(0, FaultKind::HostDmaOutage { cycles: 6_000 })
+                .at(6_130, FaultKind::HostDmaOutage { cycles: 2_000 }),
+        );
+        let mut sys = with_elision(sys, elide);
+        sys.run(12_000);
+        // Non-vacuity: every receiver woke, mirrored and reported the word.
+        let mut debug = Vec::new();
+        for r in 1..RPUS {
+            let at = receiver_addr(r) as usize;
+            assert_eq!(sys.host_dram()[at..at + 4], MAGIC.to_le_bytes(), "RPU {r}");
+            debug.push(sys.take_debug(r));
+        }
+        assert!(
+            debug.iter().all(|d| *d == Some(u64::from(MAGIC))),
+            "{debug:?}"
+        );
+        // ...and every DMA request waited out an outage while its core slept.
+        let trace = sys.take_tracer().unwrap().compact_text();
+        let starts: Vec<&str> = trace
+            .lines()
+            .filter(|l| l.contains("dma.start"))
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(starts.len(), RPUS, "{starts:?}");
+        assert_eq!(starts[0], "@6000");
+        assert!(starts[1..].iter().all(|&at| at == "@8130"), "{starts:?}");
+        Observed {
+            trace,
+            ledger: format!("{:?}", sys.ledger()),
+            diagnostics: format!("{:?}", sys.diagnostics()),
+            measurement: format!("debug={debug:?}"),
+            received: 0,
+            injected: 0,
+            drops: sys.drop_count(),
+        }
+    });
 }

@@ -1,11 +1,11 @@
 //! Property tests for the packet-port layer: arbitrary cycle-stamped
-//! arrival interleavings are kernel-invariant, and any random live ring
-//! session replays bit-exactly from its event log.
+//! arrival interleavings are invariant under quiescent-lane elision, and any
+//! random live ring session replays bit-exactly from its event log.
 
 use proptest::prelude::*;
 use rosebud::apps::forwarder::build_forwarding_system;
 use rosebud::core::ports::{pump, replay};
-use rosebud::core::{KernelMode, Rosebud, TraceConfig};
+use rosebud::core::{Rosebud, TraceConfig};
 use rosebud::kernel::StampedIngress;
 use rosebud::net::Packet;
 use rosebud::shell::{RingBackend, Shell};
@@ -18,31 +18,22 @@ fn trace_cfg() -> TraceConfig {
     }
 }
 
-fn kernels() -> Vec<KernelMode> {
-    vec![
-        KernelMode::Sequential,
-        KernelMode::Parallel {
-            workers: 0,
-            quantum: 1024,
-        },
-        KernelMode::Parallel {
-            workers: 2,
-            quantum: 256,
-        },
-    ]
+/// The sweeps under test: every lane awake (the reference), then elided.
+fn kernels() -> [(&'static str, bool); 2] {
+    [("awake", false), ("elided", true)]
 }
 
-fn traced_forwarder(kernel: KernelMode) -> Rosebud {
+fn traced_forwarder(elide: bool) -> Rosebud {
     let mut sys = build_forwarding_system(8).unwrap();
-    sys.set_kernel(kernel);
+    sys.set_elision(elide);
     sys.enable_tracing(trace_cfg());
     sys
 }
 
-/// Runs a fixed arrival schedule through one kernel and snapshots every
+/// Runs a fixed arrival schedule through one sweep and snapshots every
 /// observable output.
-fn observe_schedule(kernel: KernelMode, schedule: &[(u64, usize, u8)]) -> (String, String, usize) {
-    let mut sys = traced_forwarder(kernel);
+fn observe_schedule(elide: bool, schedule: &[(u64, usize, u8)]) -> (String, String, usize) {
+    let mut sys = traced_forwarder(elide);
     let mut source = StampedIngress::new();
     let mut cycle = 0u64;
     for (id, &(gap, size, port)) in schedule.iter().enumerate() {
@@ -71,8 +62,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     // Any port-order-preserving interleaving of cycle-stamped arrivals
-    // produces byte-identical traces, ledgers, and diagnostics under all
-    // three kernels: the port layer adds no kernel-visible nondeterminism.
+    // produces byte-identical traces, ledgers, and diagnostics with elision
+    // on and off: the port layer adds no elision-visible nondeterminism.
     #[test]
     fn stamped_interleavings_are_kernel_invariant(
         schedule in proptest::collection::vec(
@@ -80,20 +71,20 @@ proptest! {
             1..24,
         ),
     ) {
-        let (oracle_trace, oracle_state, oracle_delivered) =
-            observe_schedule(KernelMode::Sequential, &schedule);
+        let [(_, oracle), rest @ ..] = kernels();
+        let (oracle_trace, oracle_state, oracle_delivered) = observe_schedule(oracle, &schedule);
         prop_assert!(oracle_delivered > 0, "schedule must deliver something");
-        for kernel in kernels().into_iter().skip(1) {
-            let (trace, state, delivered) = observe_schedule(kernel, &schedule);
-            prop_assert_eq!(&trace, &oracle_trace, "trace diverges under {:?}", kernel);
-            prop_assert_eq!(&state, &oracle_state, "state diverges under {:?}", kernel);
+        for (name, elide) in rest {
+            let (trace, state, delivered) = observe_schedule(elide, &schedule);
+            prop_assert_eq!(&trace, &oracle_trace, "trace diverges under {}", name);
+            prop_assert_eq!(&state, &oracle_state, "state diverges under {}", name);
             prop_assert_eq!(delivered, oracle_delivered);
         }
     }
 
     // Any random live ring session replays bit-exactly from its event log:
-    // record on a live shell, replay through a fresh sequential oracle, and
-    // demand the same trace, ledger, and diagnostics.
+    // record on a live shell, replay through a fresh every-lane-awake
+    // system, and demand the same trace, ledger, and diagnostics.
     #[test]
     fn random_ring_sessions_replay_bit_exactly(
         session in proptest::collection::vec(
@@ -102,7 +93,7 @@ proptest! {
         ),
     ) {
         let (backend, peer) = RingBackend::pair();
-        let mut shell = Shell::new(traced_forwarder(KernelMode::Sequential), backend);
+        let mut shell = Shell::new(traced_forwarder(true), backend);
         for &(gap, size, port) in &session {
             peer.send(port, vec![0x5A; size]);
             shell.pump(gap);
@@ -116,7 +107,7 @@ proptest! {
         let live_ledger = shell.sys().ledger();
         let live_diag = format!("{:?}", shell.sys().diagnostics());
 
-        let mut oracle = traced_forwarder(KernelMode::Sequential);
+        let mut oracle = traced_forwarder(false);
         let delivered = replay(&log, &mut oracle);
         prop_assert_eq!(delivered.len() as u64, shell.forwarded());
         prop_assert_eq!(
